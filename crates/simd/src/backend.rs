@@ -1,154 +1,38 @@
-//! Runtime SIMD backend selection.
+//! Which implementation backs the `SimdF32`/`SimdI32` primitives.
 //!
-//! The portable lane loops in [`crate::f32xc`]/[`crate::i32xc`] are
-//! correct everywhere, but whether they compile to the packed
-//! instructions of the paper's Listing 2 depends on the build's target
-//! features. This module removes that correctness-irrelevant but
-//! performance-critical dependence on compile flags: the explicit
-//! intrinsics backend in `crate::x86` is selected **once per process
-//! at run time** from CPUID (`is_x86_feature_detected!`), so a binary
-//! built with the default (SSE2-baseline) target features still executes
-//! `vminps`/`vblendvps`/`vgatherdps` on hardware that has them.
+//! There is exactly one: the portable fixed-trip lane loops of
+//! [`crate::f32xc`]/[`crate::i32xc`]. Every primitive is
+//! `#[inline(always)]`, so inside a monomorphized chunk-MV loop the
+//! compiler sees the kernel's whole primitive sequence (`LOAD`, gather,
+//! `MIN`, `ADD`, `BLEND`, …) with no per-primitive branch or call in
+//! between, and vectorizes it for the build's target features. Results
+//! depend only on the lane loops' scalar semantics (`f32::min`/`max`,
+//! `!= 0.0` masks, slice-indexed gathers), never on the host CPU.
 //!
-//! Selection order:
-//!
-//! 1. `SLIMSELL_SIMD` — `auto` (default), `scalar`, `avx2`, `avx512`.
-//!    Anything else panics loudly (same policy as `SLIMSELL_SWEEP`), and
-//!    requesting a backend the CPU cannot run panics too: an explicit
-//!    request that cannot be honored must not silently degrade.
-//! 2. `auto`/unset: the best backend the CPU supports — AVX-512 if
-//!    `avx512f` is detected, else AVX2 if `avx2` is detected, else the
-//!    portable scalar lane loops. Non-x86_64 hosts always resolve to
-//!    [`Backend::Scalar`].
-//!
-//! Every backend is **bit-identical** on every primitive (pinned by the
-//! `backend_equivalence` property suite), so the choice — including a
-//! mid-process [`set_backend`] switch, which benches use to measure the
-//! scalar-vs-simd axis in one process — is observation-free for results.
+//! [`active_backend`] and [`detect_best`] exist so that reports (the
+//! benchmark context line, `BENCH_scaling.json`) can name the path that
+//! ran.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which implementation backs the `SimdF32`/`SimdI32` primitives.
+/// The implementation behind the primitives: the portable lane loops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Portable fixed-trip lane loops (the universal fallback).
-    Scalar,
-    /// x86 intrinsics: 128-bit (C=4) and 256-bit (C=8; wider lane counts
-    /// in 256-bit groups) paths, gated on the `avx2` CPU feature.
-    Avx2,
-    /// x86 intrinsics: additionally 512-bit paths for C ∈ {16, 32},
-    /// gated on the `avx512f` CPU feature (implies the AVX2 paths for
-    /// C ∈ {4, 8}).
-    Avx512,
-}
+pub struct Backend;
 
 impl Backend {
-    /// Stable lowercase name (the `SLIMSELL_SIMD` vocabulary, also used
-    /// in `BENCH_scaling.json`'s `simd` field).
+    /// Stable lowercase name, as recorded in benchmark reports.
     pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Avx2 => "avx2",
-            Backend::Avx512 => "avx512",
-        }
+        "portable"
     }
 }
 
-/// 0 = uninitialized; otherwise `Backend` discriminant + 1.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-fn encode(b: Backend) -> u8 {
-    match b {
-        Backend::Scalar => 1,
-        Backend::Avx2 => 2,
-        Backend::Avx512 => 3,
-    }
-}
-
-fn decode(v: u8) -> Option<Backend> {
-    match v {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::Avx2),
-        3 => Some(Backend::Avx512),
-        _ => None,
-    }
-}
-
-/// Whether this process can run `b` (CPUID check; [`Backend::Scalar`]
-/// is always supported, everything else never is off x86_64).
-pub fn backend_supported(b: Backend) -> bool {
-    match b {
-        Backend::Scalar => true,
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
-/// The best backend the current CPU supports.
-pub fn detect_best() -> Backend {
-    if backend_supported(Backend::Avx512) {
-        Backend::Avx512
-    } else if backend_supported(Backend::Avx2) {
-        Backend::Avx2
-    } else {
-        Backend::Scalar
-    }
-}
-
-fn init_from_env() -> Backend {
-    let b = match std::env::var("SLIMSELL_SIMD").as_deref() {
-        Err(_) | Ok("auto") | Ok("") => detect_best(),
-        Ok("scalar") => Backend::Scalar,
-        Ok("avx2") => Backend::Avx2,
-        Ok("avx512") => Backend::Avx512,
-        Ok(other) => {
-            panic!("unrecognized SLIMSELL_SIMD value {other:?} (use auto, scalar, avx2, or avx512)")
-        }
-    };
-    assert!(
-        backend_supported(b),
-        "SLIMSELL_SIMD={} requested but the CPU does not support it (detected best: {})",
-        b.name(),
-        detect_best().name(),
-    );
-    // `store` rather than CAS: concurrent first calls compute the same
-    // value, so the race is benign.
-    BACKEND.store(encode(b), Ordering::Relaxed);
-    b
-}
-
-/// The process-wide active backend, resolving `SLIMSELL_SIMD` on first
-/// use. Cheap enough to call per primitive (one relaxed atomic load).
+/// The backend the primitives run on (always the portable lane loops).
 #[inline]
 pub fn active_backend() -> Backend {
-    match decode(BACKEND.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        None => init_from_env(),
-    }
+    Backend
 }
 
-/// Overrides the active backend for the rest of the process (or until
-/// the next call), returning the previously active one — how tests and
-/// the `repro scaling --simd` bench sweep the scalar-vs-simd axis
-/// within a single process. Safe to flip mid-computation because every
-/// backend is bit-identical on every primitive.
-///
-/// # Panics
-/// Panics if the CPU does not support `b` (see [`backend_supported`]).
-pub fn set_backend(b: Backend) -> Backend {
-    assert!(
-        backend_supported(b),
-        "cannot select SIMD backend {}: unsupported on this CPU (detected best: {})",
-        b.name(),
-        detect_best().name(),
-    );
-    let prev = active_backend();
-    BACKEND.store(encode(b), Ordering::Relaxed);
-    prev
+/// The best backend for this host (always the portable lane loops).
+pub fn detect_best() -> Backend {
+    Backend
 }
 
 #[cfg(test)]
@@ -156,27 +40,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_always_supported_and_settable() {
-        assert!(backend_supported(Backend::Scalar));
-        let prev = set_backend(Backend::Scalar);
-        assert_eq!(active_backend(), Backend::Scalar);
-        set_backend(prev);
-    }
-
-    #[test]
-    fn detect_best_is_supported_and_sticky() {
-        let best = detect_best();
-        assert!(backend_supported(best));
-        let prev = set_backend(best);
-        assert_eq!(active_backend(), best);
-        set_backend(prev);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
-            assert!(!b.name().is_empty());
-        }
-        assert_eq!(Backend::Avx2.name(), "avx2");
+    fn reports_the_portable_path() {
+        assert_eq!(active_backend(), detect_best());
+        assert_eq!(active_backend().name(), "portable");
     }
 }

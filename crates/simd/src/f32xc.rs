@@ -1,12 +1,9 @@
 //! `f32` vectors of `C` lanes: the `V` type of the paper's Listing 1.
 //!
 //! All BFS semiring values are `f32`, mirroring the paper's use of the
-//! `_mm256_*_ps` instruction family (Listing 2). Every operation below
-//! first consults the runtime-selected explicit-SIMD backend
-//! ([`crate::backend`]) and falls back to a portable fixed-trip-count
-//! lane loop — bit-identical by contract — when the backend is scalar,
-//! the host is not x86-64, or the operation must take the panicking
-//! bounds-check path.
+//! `_mm256_*_ps` instruction family (Listing 2). Every operation is a
+//! portable fixed-trip-count lane loop (see the crate docs for why that
+//! is the only implementation).
 
 use crate::i32xc::SimdI32;
 
@@ -56,10 +53,6 @@ impl<const C: usize> SimdF32<C> {
     /// Panics if `src.len() < C`.
     #[inline(always)]
     pub fn load(src: &[f32]) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::copy(src) {
-            return Self(out);
-        }
         let mut out = [0.0f32; C];
         out.copy_from_slice(&src[..C]);
         Self(out)
@@ -71,10 +64,6 @@ impl<const C: usize> SimdF32<C> {
     /// Panics if `dst.len() < C`.
     #[inline(always)]
     pub fn store(self, dst: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::x86::store(&self.0, dst).is_some() {
-            return;
-        }
         dst[..C].copy_from_slice(&self.0);
     }
 
@@ -87,10 +76,6 @@ impl<const C: usize> SimdF32<C> {
     /// `f[-1]`, hence the explicit default.
     #[inline(always)]
     pub fn gather_or(values: &[f32], idx: SimdI32<C>, default: f32) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::gather_or(values, &idx.0, default) {
-            return Self(out);
-        }
         let mut out = [0.0f32; C];
         for i in 0..C {
             let j = idx.0[i];
@@ -102,70 +87,42 @@ impl<const C: usize> SimdF32<C> {
     /// `CMP(a, b, EQ)`: numeric mask, `1.0` where equal else `0.0`.
     #[inline(always)]
     pub fn cmp_eq(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::cmp_eq(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if self.0[i] == other.0[i] { 1.0 } else { 0.0 })
     }
 
     /// `CMP(a, b, NEQ)`: numeric mask, `1.0` where different else `0.0`.
     #[inline(always)]
     pub fn cmp_neq(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::cmp_neq(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if self.0[i] != other.0[i] { 1.0 } else { 0.0 })
     }
 
     /// `BLEND(a, b, mask)`: `out[i] = mask[i] != 0 ? b[i] : a[i]`.
     #[inline(always)]
     pub fn blend(a: Self, b: Self, mask: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::blend(&a.0, &b.0, &mask.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| if mask.0[i] != 0.0 { b.0[i] } else { a.0[i] })
     }
 
     /// Element-wise minimum (`MIN`). NaN handling follows `f32::min`.
     #[inline(always)]
     pub fn min(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::min(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i].min(other.0[i]))
     }
 
     /// Element-wise maximum (`MAX`).
     #[inline(always)]
     pub fn max(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::max(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i].max(other.0[i]))
     }
 
     /// Element-wise addition (`ADD`).
     #[inline(always)]
     pub fn add(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::add(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i] + other.0[i])
     }
 
     /// Element-wise multiplication (`MUL`).
     #[inline(always)]
     pub fn mul(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::mul(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| self.0[i] * other.0[i])
     }
 
@@ -173,10 +130,6 @@ impl<const C: usize> SimdF32<C> {
     /// restricted to {0.0, 1.0} this is logical AND.
     #[inline(always)]
     pub fn and_bits(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::and_bits(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| f32::from_bits(self.0[i].to_bits() & other.0[i].to_bits()))
     }
 
@@ -184,10 +137,6 @@ impl<const C: usize> SimdF32<C> {
     /// restricted to {0.0, 1.0} this is logical OR.
     #[inline(always)]
     pub fn or_bits(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::or_bits(&self.0, &other.0) {
-            return Self(out);
-        }
         Self::from_fn(|i| f32::from_bits(self.0[i].to_bits() | other.0[i].to_bits()))
     }
 
@@ -207,10 +156,6 @@ impl<const C: usize> SimdF32<C> {
     /// True if any lane is non-zero.
     #[inline(always)]
     pub fn any_nonzero(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::any_ne(&self.0, &[0.0f32; C]) {
-            return out;
-        }
         let mut acc = false;
         for i in 0..C {
             acc |= self.0[i] != 0.0;
@@ -222,10 +167,6 @@ impl<const C: usize> SimdF32<C> {
     /// detection in the tropical semiring).
     #[inline(always)]
     pub fn any_ne(self, other: Self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::any_ne(&self.0, &other.0) {
-            return out;
-        }
         let mut acc = false;
         for i in 0..C {
             acc |= self.0[i] != other.0[i];
@@ -242,10 +183,6 @@ impl<const C: usize> SimdF32<C> {
     /// masks that filter worklist activation.
     #[inline(always)]
     pub fn ne_bits(self, other: Self) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = crate::x86::ne_bits(&self.0, &other.0) {
-            return out;
-        }
         let mut m = 0u32;
         for i in 0..C {
             if self.0[i].to_bits() != other.0[i].to_bits() {
@@ -367,6 +304,50 @@ mod tests {
         let idx = SimdI32::<4>([2, -1, 0, -1]);
         let g = SimdF32::<4>::gather_or(&values, idx, f32::INFINITY);
         assert_eq!(g.0, [12.0, f32::INFINITY, 10.0, f32::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn gather_out_of_bounds_panics() {
+        SimdF32::<8>::gather_or(&[1.0f32; 4], SimdI32::from_fn(|i| i as i32), 0.0);
+    }
+
+    /// `min`/`max` keep `f32::min`/`max` semantics bit for bit: the first
+    /// operand on equal compares (so `min(-0.0, +0.0)` is `-0.0`) and the
+    /// non-NaN operand when exactly one is NaN.
+    #[test]
+    fn min_max_signed_zero_and_nan_follow_f32() {
+        let cases: [(f32, f32); 8] = [
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (f32::NAN, 1.0),
+            (1.0, f32::NAN),
+            (f32::INFINITY, f32::NEG_INFINITY),
+            (f32::NEG_INFINITY, f32::INFINITY),
+            (2.0, 2.0),
+            (-3.5, 7.25),
+        ];
+        for (x, y) in cases {
+            let (mn, mx) = (V::splat(x).min(V::splat(y)), V::splat(x).max(V::splat(y)));
+            for i in 0..8 {
+                assert_eq!(mn.0[i].to_bits(), x.min(y).to_bits(), "min({x}, {y})");
+                assert_eq!(mx.0[i].to_bits(), x.max(y).to_bits(), "max({x}, {y})");
+            }
+        }
+    }
+
+    /// `-0.0` is numerically zero: blend selects `a`, `cmp_neq`/`any_ne`
+    /// see equal lanes, `any_nonzero` sees none — while the bitwise
+    /// `ne_bits` flags every lane.
+    #[test]
+    fn signed_zero_mask_semantics() {
+        let (pz, nz) = (V::splat(0.0), V::splat(-0.0));
+        assert_eq!(V::blend(V::splat(10.0), V::splat(20.0), nz).0, [10.0; 8]);
+        assert_eq!(pz.cmp_neq(nz).0, [0.0; 8]);
+        assert!(!pz.any_ne(nz));
+        assert!(!nz.any_nonzero());
+        assert_eq!(pz.ne_bits(nz), 0xff);
+        assert_eq!(pz.ne_bits(pz), 0);
     }
 
     #[test]

@@ -12,18 +12,17 @@
 //! | 16 | Xeon Phi KNL (512-bit AVX-512 units, §IV-C)             |
 //! | 32 | GPU warp (32 SIMT lanes, §IV-B)                         |
 //!
-//! Implementation note: stable Rust has no `std::simd`, so the *portable*
-//! implementation of each primitive is a fixed-trip-count lane loop over a
-//! `#[repr(align(64))]` array. On x86-64 the primitives additionally have
-//! an explicit `std::arch` intrinsics backend ([`backend`], `x86`) that is
-//! selected **once per process at run time** from CPUID — so a binary
-//! built with the default target features still executes the very
-//! instructions Listing 2 names (`vminps`, `vaddps`, `vblendvps`,
-//! `vgatherdps`, …) on hardware that has them, with no dependence on
-//! `-C target-cpu=native` build flags (see `.cargo/config.toml` for the
-//! optional opt-in). The `SLIMSELL_SIMD={auto,scalar,avx2,avx512}`
-//! environment variable overrides the selection; every backend is
-//! bit-identical to the portable lane loops.
+//! Implementation: stable Rust has no `std::simd`, so each primitive is a
+//! fixed-trip-count lane loop over a `#[repr(align(64))]` array, marked
+//! `#[inline(always)]`. There is one implementation and no run-time
+//! dispatch ([`backend`]): inlined into a monomorphized chunk-MV loop,
+//! the primitives of one chunk step form a single straight-line block
+//! that the compiler vectorizes for the build's target features (see
+//! `.cargo/config.toml`). Building with other target features changes
+//! which instructions run, never the results: every primitive is defined
+//! by its scalar lane semantics (`f32::min`/`max` for `-0.0` and NaN,
+//! `!= 0.0` for masks, slice indexing with its bounds-check panic for
+//! gathers), so kernel outputs are bit-identical on every host.
 //!
 //! Mask convention: comparison results are *numeric* masks holding `0.0`
 //! or `1.0` per lane, matching the paper's Listing 1 ("return a vector
@@ -43,10 +42,8 @@
 pub mod backend;
 pub mod f32xc;
 pub mod i32xc;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod x86;
 
-pub use backend::{active_backend, backend_supported, detect_best, set_backend, Backend};
+pub use backend::{active_backend, detect_best, Backend};
 pub use f32xc::SimdF32;
 pub use i32xc::SimdI32;
 
